@@ -6,7 +6,7 @@ export PYTHONPATH := src
 
 .PHONY: test test-reference coverage test-udp bench-smoke bench-transfer \
 	bench-ingest bench-raptor bench-adaptive bench-udp bench-swarm \
-	bench-gate \
+	bench-gate perfbench-selftest \
 	swarm-smoke docs-check typecheck all
 
 all: test docs-check typecheck
@@ -58,9 +58,8 @@ bench-transfer:
 # Decode-ingest rates: droplets/sec and decode MB/s per backend and
 # batch size, including the gated batched_ingest_speedup headline
 # (asserted >= 4x in the bench itself, floor-checked by bench-gate).
-# Note: a standalone run rewrites BENCH_transfer.json with only the
-# ingest rows — run bench-smoke (or bench-transfer in the same pytest
-# process) afterwards before invoking bench-gate.
+# A standalone run replaces only the ingest rows of BENCH_transfer.json
+# (recorders merge rows by case), so the transfer rows stay in place.
 bench-ingest:
 	$(PYTHON) -m pytest -q benchmarks/bench_decode_ingest.py
 
@@ -90,6 +89,12 @@ bench-swarm:
 # per-metric tolerances.  Run a bench target first.
 bench-gate:
 	$(PYTHON) tools/check_bench.py
+
+# The shipped-path benchmark's own fast-mode test: every workload prints
+# every declared metric (untraced and traced), a truncated stream counts
+# as a failed transfer, and the benchmark refuses to run without src/.
+perfbench-selftest:
+	$(PYTHON) -m pytest -q perfbench/selftest.py
 
 # Quick population-scale pass over committed scenarios: one scaled
 # flash crowd with exact-replay validation, plus a cross-scenario

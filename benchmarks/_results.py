@@ -6,7 +6,9 @@ module a one-call way to publish the numbers that actually track the
 project's perf trajectory (reception overhead, goodput, packets per
 second) as a small stable JSON file at the repo root.  The conftest's
 ``pytest_sessionfinish`` hook flushes every recorder that collected
-rows, so a partial run (``-k``) only rewrites the files it touched.
+rows, so a partial run (``-k``) only touches the files it recorded
+into — and within a file only the cases it re-ran: a flush merges its
+rows into the file by ``case``, keeping every other case's row.
 
 The committed ``BENCH_*.json`` files hold only the gated metric rows —
 they are the baselines ``tools/check_bench.py`` compares fresh runs
@@ -37,8 +39,7 @@ class BenchRecorder:
 
     One recorder per summary file: constructing a second recorder for
     the same file name hands back the first instance, so several bench
-    modules can publish into one summary (``flush`` rewrites the whole
-    file, and separate instances would clobber each other's rows).
+    modules can publish into one summary.
     """
 
     _by_path: Dict[pathlib.Path, "BenchRecorder"] = {}
@@ -64,10 +65,23 @@ class BenchRecorder:
         self.rows.append({"case": case, **metrics})
 
     def flush(self) -> None:
+        """Merge this run's rows into the file, replacing rows by ``case``.
+
+        Cases this run did not record keep their existing rows, so a
+        standalone or ``-k`` run of one bench module never wipes the
+        rows another module publishes into the same file.  A case a
+        bench stops recording must be deleted from the file by hand.
+        """
         if not self.rows:
             return
+        merged: Dict[str, Dict[str, Any]] = {}
+        if self.path.exists():
+            for row in json.loads(self.path.read_text()).get("results", []):
+                merged[row["case"]] = row
+        for row in self.rows:
+            merged[row["case"]] = row
         payload = {
-            "results": sorted(self.rows, key=lambda row: row["case"]),
+            "results": sorted(merged.values(), key=lambda row: row["case"]),
         }
         self.path.write_text(json.dumps(payload, indent=2, sort_keys=True)
                              + "\n")

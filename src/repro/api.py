@@ -353,13 +353,11 @@ class ReceiverSession:
         :meth:`~repro.transfer.client.TransferClient.receive_many`.
 
         Counter-exact versus feeding :meth:`receive_record` one call
-        per record: ingestion proceeds in chunks capped at the
-        transfer's provable packet deficit (summed
-        :meth:`~repro.transfer.client.TransferClient.block_min_additional`),
-        so completion can only land on a chunk's final record and
-        ``packets_used``/reception stats match the sequential run.
-        Records after completion are ignored, as the sequential loop
-        would leave them unread.
+        per record: :meth:`~repro.transfer.client.TransferClient.
+        receive_batch` finds the record that completes the transfer,
+        so ``packets_used`` and reception stats match the sequential
+        run.  Records after completion are ignored (their serials
+        included), as the sequential loop would leave them unread.
         """
         if self.client.is_complete:
             return True
@@ -383,24 +381,11 @@ class ReceiverSession:
         else:
             blocks = np.zeros(len(records), dtype=np.int64)
         payloads = buf[:, self.header_size:]
-        client = self.client
-        pos = 0
-        total = len(records)
-        while pos < total and not client.is_complete:
-            deficit = sum(client.block_min_additional(b)
-                          for b in client.incomplete_blocks)
-            take = min(max(1, deficit), total - pos)
-            sel = slice(pos, pos + take)
-            self.packets_used += take
-            if serials is not None:
-                self.loss_estimator.observe(serials[sel].tolist())
-            chunk_blocks = blocks[sel]
-            for b in np.unique(chunk_blocks):
-                rows = chunk_blocks == b
-                client.receive_many(int(b), ids[sel][rows],
-                                    payloads[sel][rows])
-            pos += take
-        return client.is_complete
+        used = self.client.receive_batch(blocks, ids, payloads)
+        self.packets_used += used
+        if serials is not None:
+            self.loss_estimator.observe(serials[:used].tolist())
+        return self.client.is_complete
 
     def receive_stream_bytes(self, raw: bytes) -> bool:
         """Replay a whole recorded stream; stops early once complete."""

@@ -189,6 +189,18 @@ class HeaderSequencer:
         self._serial = (self._serial + 1) % SERIAL_MODULUS
         return header
 
+    def next_serials(self, count: int) -> np.ndarray:
+        """The serials of the next ``count`` packets; advances past them.
+
+        The batched twin of ``count`` :meth:`next_header` calls (serials
+        wrap at ``2**32`` the same way), for callers that stamp headers
+        in one vectorized pass.
+        """
+        serials = (self._serial + np.arange(count, dtype=np.int64)) \
+            % SERIAL_MODULUS
+        self._serial = (self._serial + int(count)) % SERIAL_MODULUS
+        return serials
+
     def reset(self) -> None:
         """Rewind to the starting serial (a fresh session)."""
         self._serial = self._start_serial

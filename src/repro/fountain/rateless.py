@@ -50,6 +50,10 @@ from repro.fountain.packets import (
 )
 from repro.fountain.source import SequencedPacketSource
 
+#: droplets one batch draw synthesises at least (see
+#: :meth:`RatelessServer.payload_batch`).
+LOOKAHEAD = 64
+
 
 class RatelessServer(SequencedPacketSource):
     """Pours an endless droplet stream for one source block.
@@ -111,6 +115,8 @@ class RatelessServer(SequencedPacketSource):
         self.id_range = int(id_range)
         self.wrap = bool(wrap)
         self._emitted = 0
+        #: look-ahead window of batch draws: (first emission, payloads).
+        self._ahead: Optional[Tuple[int, np.ndarray]] = None
 
     @property
     def ids_remaining(self) -> int:
@@ -180,18 +186,49 @@ class RatelessServer(SequencedPacketSource):
                 f"{self.start + self.id_range}); give mirrors disjoint "
                 f"ranges with more headroom, or pass wrap=True to "
                 f"cycle (receivers will then see duplicate droplets)")
-        ids = self.start + (self._emitted
-                            + np.arange(count, dtype=np.int64)) % self.id_range
+        first = self._emitted
         self._emitted += int(count)
-        return ids, self.encoder.payload_block(ids)
+        return self._ids(first, count), self._payloads(first, count)
+
+    def _ids(self, first: int, count: int) -> np.ndarray:
+        """Droplet ids of emissions ``first .. first + count - 1``."""
+        return self.start + (first + np.arange(count, dtype=np.int64)) \
+            % self.id_range
+
+    def _payloads(self, first: int, count: int) -> np.ndarray:
+        """Payloads of emissions ``first .. first + count - 1``.
+
+        Synthesises at least :data:`LOOKAHEAD` droplets per encoder
+        call (never past a non-wrapping id range) and keeps the surplus
+        for the next draw, so a caller taking a few droplets at a time
+        still pays one vectorized neighbour derivation per window.
+        Payloads are a pure function of the droplet id, so synthesising
+        ahead changes no byte of the stream.
+        """
+        window = self._ahead
+        if window is not None:
+            offset = first - window[0]
+            if 0 <= offset and offset + count <= len(window[1]):
+                return window[1][offset:offset + count]
+        want = max(count, LOOKAHEAD)
+        if not self.wrap:
+            want = min(want, self.id_range - first)
+        payloads = self.encoder.payload_block(self._ids(first, want))
+        self._ahead = (first, payloads)
+        return payloads[:count]
 
     def _next_packet(self) -> EncodingPacket:
         droplet_id = self.next_droplet_id
         header = self._sequencer.next_header(droplet_id, block=self.block)
+        window = self._ahead
+        offset = -1 if window is None else self._emitted - window[0]
         self._emitted += 1
-        return EncodingPacket(
-            header=header,
-            payload=self.encoder.droplet_payload(droplet_id))
+        if 0 <= offset < len(window[1]):
+            payload = window[1][offset]
+        else:
+            payload = self.encoder.droplet_payload(droplet_id)
+        return EncodingPacket(header=header, payload=payload)
 
     def _rewind(self) -> None:
         self._emitted = 0
+        self._ahead = None

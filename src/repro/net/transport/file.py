@@ -15,19 +15,21 @@ from __future__ import annotations
 import json
 import pathlib
 import time
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Iterator, List, Optional, Union
+
+import numpy as np
 
 from repro.errors import ProtocolError, ReproError
 from repro.fountain.packets import BLOCK_HEADER_SIZE, HEADER_SIZE
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss
 from repro.net.transport.base import (
-    EMISSION_LIMIT_FACTOR,
     ServeReport,
     Subscription,
     Transport,
     register_transport,
 )
+from repro.net.transport.chunked import serve_chunked
 
 __all__ = ["FileTransport", "FileSubscription",
            "MANIFEST_NAME", "STREAM_NAME",
@@ -155,9 +157,10 @@ class FileTransport(Transport):
         from repro.transfer.client import TransferClient
 
         channel = LossyChannel(BernoulliLoss(self.loss), rng=self.seed)
-        shadow = TransferClient(session.codec, payload_size=None)
-        limit = (EMISSION_LIMIT_FACTOR * session.total_k
-                 if count is None else count)
+        # The structural shadow only matters for the automatic stop; an
+        # explicit count skips its decode work too.
+        shadow = (TransferClient(session.codec, payload_size=None)
+                  if count is None else None)
         self.directory.mkdir(parents=True, exist_ok=True)
         # Drop any stale manifest first: stream.pkt is rewritten below,
         # and a failed serve must not leave the new stream paired with
@@ -166,21 +169,23 @@ class FileTransport(Transport):
         (self.directory / MANIFEST_NAME).unlink(missing_ok=True)
         start = time.perf_counter()
         survivors = 0
-        extra_left = extra
         with open(self.directory / STREAM_NAME, "wb") as stream:
-            for packet in channel.transmit(session.packets(limit)):
-                stream.write(packet.to_bytes())
-                survivors += 1
-                # The structural shadow only matters for the automatic
-                # stop; an explicit count skips its decode work too.
-                if count is None and shadow.receive_index(packet.block,
-                                                          packet.index):
-                    if extra_left <= 0:
-                        break
-                    extra_left -= 1
-        if count is None and not shadow.is_complete:
+
+            def emit(records: np.ndarray, masks: List[np.ndarray]) -> None:
+                nonlocal survivors
+                kept = records[masks[0]]
+                stream.write(kept)
+                survivors += len(kept)
+
+            # ``extra`` counts recorded survivors after the shadow
+            # completes, not emissions.
+            emitted = serve_chunked(
+                session, [channel], emit,
+                shadows=None if shadow is None else [shadow],
+                count=count, extra=extra, extra_deliveries=True)
+        if shadow is not None and not shadow.is_complete:
             raise ReproError(
-                f"channel too lossy: {limit} emissions were not enough "
+                f"channel too lossy: {emitted} emissions were not enough "
                 f"(blocks incomplete: {shadow.incomplete_blocks[:8]})")
         from repro import __version__
 
@@ -193,8 +198,8 @@ class FileTransport(Transport):
             json.dumps(manifest, indent=2))
         return ServeReport(
             transport=self.name,
-            emitted=channel.sent,
+            emitted=emitted,
             delivered=survivors,
-            dropped=channel.sent - channel.delivered,
+            dropped=emitted - survivors,
             duration=time.perf_counter() - start,
         )

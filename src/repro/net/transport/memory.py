@@ -24,18 +24,21 @@ moves.
 from __future__ import annotations
 
 import time
+from itertools import compress
 from typing import Any, Callable, Iterator, List, Optional
+
+import numpy as np
 
 from repro.errors import ProtocolError, ReproError
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss
 from repro.net.transport.base import (
-    EMISSION_LIMIT_FACTOR,
     ServeReport,
     Subscription,
     Transport,
     register_transport,
 )
+from repro.net.transport.chunked import serve_chunked
 from repro.protocol.adaptive import AdaptivePolicy
 from repro.protocol.feedback import FeedbackReport, report_from_client
 from repro.utils.rng import ensure_rng, spawn_rng
@@ -154,58 +157,59 @@ class MemoryTransport(Transport):
         from repro.transfer.client import TransferClient
 
         manifest = session.manifest()
-        shadows = []
-        for sub in self.subscriptions:
+        subs = self.subscriptions
+        for sub in subs:
             sub._manifest = manifest
-            shadows.append(TransferClient(session.codec, payload_size=None))
-        limit = (EMISSION_LIMIT_FACTOR * session.total_k
-                 if count is None else count)
         adaptive = policy is not None or feedback is not None
-        source = getattr(session, "source", session)
-        reweight = getattr(source, "reweight", None)
+        # The shadows drive the automatic stop and the adaptive reports;
+        # a plain counted serve needs neither.
+        shadows = ([TransferClient(session.codec, payload_size=None)
+                    for _ in subs] if count is None or adaptive else None)
+        reweight = getattr(getattr(session, "source", session),
+                           "reweight", None)
         block_ks = session.codec.plan.block_ks
         start = time.perf_counter()
-        emitted = delivered = dropped = 0
-        extra_left = extra
-        for packet in session.packets(limit):
-            emitted += 1
-            record = None
-            for sub, shadow in zip(self.subscriptions, shadows):
-                if bool(sub.channel.delivery_mask(1)[0]):
-                    if record is None:
-                        record = packet.to_bytes()
-                    sub._records.append(record)
-                    delivered += 1
-                    if not shadow.is_complete:
-                        shadow.receive_index(packet.block, packet.index)
-                else:
-                    dropped += 1
-            if adaptive and emitted % max(1, report_every) == 0:
-                now = time.perf_counter() - start
-                for i, (sub, shadow) in enumerate(
-                        zip(self.subscriptions, shadows)):
-                    report = FeedbackReport.decode(report_from_client(
-                        shadow, receiver_id=i,
-                        loss=sub.channel.observed_loss_rate,
-                        packets_used=shadow.total_received).encode())
-                    if policy is not None:
-                        policy.observe(report, now=now)
-                    if feedback is not None:
-                        feedback(report)
-                self.drain_feedback(policy, feedback, now=now)
-                if policy is not None and reweight is not None:
-                    decision = policy.decide(block_ks, now=now)
-                    if decision.weights:
-                        reweight(list(decision.weights))
-            if count is None and all(s.is_complete for s in shadows):
-                if extra_left <= 0:
-                    break
-                extra_left -= 1
+        delivered = dropped = 0
+
+        def emit(records: np.ndarray, masks: List[np.ndarray]) -> None:
+            nonlocal delivered, dropped
+            # One bytes object per record any subscriber received,
+            # shared by every subscriber that received it.
+            anyone = np.logical_or.reduce(masks)
+            shared = [records[row].tobytes()
+                      for row in np.flatnonzero(anyone).tolist()]
+            for sub, mask in zip(subs, masks):
+                got = int(mask.sum())
+                delivered += got
+                dropped += mask.size - got
+                sub._records.extend(compress(shared, mask[anyone]))
+
+        def report() -> None:
+            now = time.perf_counter() - start
+            for i, (sub, shadow) in enumerate(zip(subs, shadows)):
+                heard = FeedbackReport.decode(report_from_client(
+                    shadow, receiver_id=i,
+                    loss=sub.channel.observed_loss_rate,
+                    packets_used=shadow.total_received).encode())
+                if policy is not None:
+                    policy.observe(heard, now=now)
+                if feedback is not None:
+                    feedback(heard)
+            self.drain_feedback(policy, feedback, now=now)
+            if policy is not None and reweight is not None:
+                decision = policy.decide(block_ks, now=now)
+                if decision.weights:
+                    reweight(list(decision.weights))
+
+        emitted = serve_chunked(
+            session, [sub.channel for sub in subs], emit, shadows=shadows,
+            count=count, extra=extra, report_every=max(1, report_every),
+            report=report if adaptive else None)
         if count is None and not all(s.is_complete for s in shadows):
             incomplete = [i for i, s in enumerate(shadows)
                           if not s.is_complete]
             raise ReproError(
-                f"channel too lossy: {limit} emissions were not enough "
+                f"channel too lossy: {emitted} emissions were not enough "
                 f"for subscribers {incomplete[:8]}")
         return ServeReport(
             transport=self.name,
@@ -213,5 +217,5 @@ class MemoryTransport(Transport):
             delivered=delivered,
             dropped=dropped,
             duration=time.perf_counter() - start,
-            destinations=len(self.subscriptions),
+            destinations=len(subs),
         )

@@ -42,7 +42,8 @@ import ipaddress
 import json
 import socket
 import time
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.errors import ParameterError, ProtocolError
 from repro.net.loss import BernoulliLoss, LossModel
@@ -74,6 +75,17 @@ DEFAULT_RCVBUF = 1 << 22
 
 #: sender yields to the event loop at least this often when unpaced.
 _YIELD_EVERY = 64
+
+#: emissions an adaptive sender may run past what its slowest reporting
+#: receiver has read (see :class:`_LeadGate`).
+_MAX_LEAD = 384
+
+#: seconds without a report after which a receiver stops holding the
+#: sender back — it left, or its feedback is lost: serve open loop.
+_LEAD_PATIENCE = 1.0
+
+#: seconds between feedback polls while the lead gate holds.
+_LEAD_POLL = 0.001
 
 
 def parse_address(text: Union[str, Address]) -> Address:
@@ -423,6 +435,44 @@ class _LossStream:
         return verdict
 
 
+class _LeadGate:
+    """Keeps an adaptive sender a bounded lead ahead of its receivers.
+
+    Each report says how many packets its receiver has consumed;
+    divided by the delivery rate its own loss estimate implies, that is
+    how far into the stream the receiver has read.  The sender may run
+    at most :data:`_MAX_LEAD` emissions past the slowest incomplete
+    receiver, so a receiver that falls behind (a slow host decoding a
+    large drain) cannot leave a stream's worth of surplus in the kernel
+    queue by the time its complete-report stops the serve.  Until the
+    first report arrives the sender waits as if for a receiver at the
+    stream's start.  Receivers silent for :data:`_LEAD_PATIENCE`
+    seconds no longer count; with no live reports the gate is open and
+    the serve runs open loop.
+    """
+
+    def __init__(self) -> None:
+        #: receiver id -> (emissions read through, time of its report);
+        #: ``None`` stands in for the receivers not yet heard from.
+        self._read: Dict[Optional[int], Tuple[float, float]] = {
+            None: (0.0, 0.0)}
+
+    def observe(self, report: FeedbackReport, now: float) -> None:
+        self._read.pop(None, None)
+        if report.complete:
+            self._read.pop(report.receiver_id, None)
+            return
+        delivery = max(1.0 - report.loss, 0.05)
+        self._read[report.receiver_id] = (report.packets_used / delivery,
+                                          now)
+
+    def holds(self, emitted: int, now: float) -> bool:
+        """Whether emission ``emitted`` must wait for fresher reports."""
+        live = [read for read, heard in self._read.values()
+                if now - heard <= _LEAD_PATIENCE]
+        return bool(live) and emitted - min(live) > _MAX_LEAD
+
+
 @register_transport
 class UdpTransport(Transport):
     """Spray a packet stream over real UDP sockets.
@@ -577,12 +627,40 @@ class UdpTransport(Transport):
         deadline = None if duration is None else start + float(duration)
         emitted = delivered = dropped = manifest_frames = 0
         feedback_frames = 0
+        gate = _LeadGate() if adaptive else None
+
+        def hear() -> None:
+            nonlocal feedback_frames
+            if not protocol.feedback or not (adaptive
+                                             or feedback is not None):
+                return
+            now = time.perf_counter() - start
+            while protocol.feedback:
+                body = protocol.feedback.pop(0)
+                try:
+                    report = FeedbackReport.decode(body)
+                except ProtocolError:
+                    protocol.malformed += 1
+                    continue
+                feedback_frames += 1
+                if policy is not None:
+                    policy.observe(report, now=now)
+                if gate is not None:
+                    gate.observe(report, now)
+                if feedback is not None:
+                    feedback(report)
+
+        def ended() -> bool:
+            return bool(should_stop()) or (
+                deadline is not None and time.perf_counter() >= deadline)
+
         try:
             for packet in session.packets(count):
-                if should_stop():
-                    break
-                if (deadline is not None
-                        and time.perf_counter() >= deadline):
+                while (gate is not None and not ended() and gate.holds(
+                        emitted, time.perf_counter() - start)):
+                    await asyncio.sleep(_LEAD_POLL)
+                    hear()
+                if ended():
                     break
                 slept = 0.0
                 if bucket is not None:
@@ -592,20 +670,7 @@ class UdpTransport(Transport):
                     # the bucket dry; yield anyway so the event loop
                     # polls the socket and feedback frames get read.
                     await asyncio.sleep(0)
-                if protocol.feedback and (adaptive or feedback is not None):
-                    now = time.perf_counter() - start
-                    while protocol.feedback:
-                        body = protocol.feedback.pop(0)
-                        try:
-                            report = FeedbackReport.decode(body)
-                        except ProtocolError:
-                            protocol.malformed += 1
-                            continue
-                        feedback_frames += 1
-                        if policy is not None:
-                            policy.observe(report, now=now)
-                        if feedback is not None:
-                            feedback(report)
+                hear()
                 if adaptive and emitted and emitted % adapt_every == 0:
                     now = time.perf_counter() - start
                     decision = policy.decide(block_ks, now=now)

@@ -128,6 +128,50 @@ class TransferClient:
             return self.codec.plan.spec(block).k
         return client.min_additional
 
+    @property
+    def packet_deficit(self) -> int:
+        """Lower bound on further packets the whole transfer needs.
+
+        :meth:`block_min_additional` summed over the incomplete blocks
+        (zero once complete): no run of fewer deliveries can complete
+        the transfer, so a batch of at most this many packets can only
+        complete it on its final packet.
+        """
+        return sum(self.block_min_additional(b) for b in self._incomplete)
+
+    def receive_batch(self, blocks: np.ndarray, indices: np.ndarray,
+                      payloads: Optional[np.ndarray] = None) -> int:
+        """Ingest packets of any blocks in arrival order; stop at completion.
+
+        Counter-exact versus one :meth:`receive_index` call per packet
+        up to the first one that completes the transfer, and returns how
+        many packets that is — all of them unless the transfer completed
+        first.  Each block's packets go to its decoder in one
+        :meth:`receive_many` call, which sees exactly the prefix up to
+        the block's own completion.  The transfer completes where its
+        last block does, and every block is complete by then, so no
+        decoder sees a packet sequential feeding would have withheld.
+        """
+        total = len(indices)
+        if self.is_complete or total == 0:
+            return 0
+        last = -1
+        for block in np.unique(blocks).tolist():
+            rows = np.flatnonzero(blocks == block)
+            was_incomplete = block in self._incomplete
+            client = self._clients[block] if was_incomplete else None
+            before = 0 if client is None else client.total_received
+            self.receive_many(block, indices[rows],
+                              None if payloads is None else payloads[rows])
+            if was_incomplete and block not in self._incomplete:
+                used = self._clients[block].total_received - before
+                last = max(last, int(rows[used - 1]))
+        used = last + 1 if self.is_complete else total
+        # receive_many counted every packet; the ones after completion
+        # were never received.
+        self.total_received -= total - used
+        return used
+
     # -- progress --------------------------------------------------------------
 
     @property

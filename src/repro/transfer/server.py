@@ -28,12 +28,17 @@ redundancy rows the carousels never reach are never computed at all.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from itertools import islice
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.fountain.packets import EncodingPacket
+from repro.fountain.packets import (
+    BLOCK_HEADER_SIZE,
+    HEADER_SIZE,
+    EncodingPacket,
+)
 from repro.fountain.source import (
     PacketSource,
     SequencedPacketSource,
@@ -84,6 +89,8 @@ class TransferServer(SequencedPacketSource):
         #: (k, P) source block for rateless ones.
         self._payloads = _payloads
         multi = codec.num_blocks > 1
+        #: wire header bytes: block-aware on multi-block streams only.
+        self.header_size = BLOCK_HEADER_SIZE if multi else HEADER_SIZE
         rateless = codec.is_rateless
         self.block_sources: List[PacketSource] = []
         for spec in codec.plan.blocks:
@@ -125,8 +132,49 @@ class TransferServer(SequencedPacketSource):
     def num_blocks(self) -> int:
         return self.codec.num_blocks
 
+    @property
+    def record_size(self) -> int:
+        """Bytes per wire record: the header plus one payload."""
+        return self.header_size + self.codec.plan.packet_size
+
     def _next_packet(self) -> EncodingPacket:
         return next(self._streams[next(self._slots)])
+
+    def record_batch(self, count: int
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next ``count`` emissions as wire records, in one pass.
+
+        Returns ``(blocks, indices, records)``: per emission its block
+        id and encoding index (droplet id for rateless blocks), and a
+        ``(count, record_size)`` uint8 array whose rows are byte-equal
+        to ``packet.to_bytes()`` of the packets :meth:`packets` would
+        have yielded.  The stream stays one sequence whichever way it
+        is drawn: slots come lazily from the live schedule (so a
+        :meth:`reweight` between batches acts exactly as between
+        packets), each block source advances through its
+        ``payload_batch``, and serials come from the shared sequencer.
+        A non-wrapping rateless block whose id range cannot cover its
+        share of the batch raises :class:`~repro.errors.ProtocolError`.
+        """
+        count = int(count)
+        blocks = np.fromiter(islice(self._slots, count), dtype=np.int64,
+                             count=count)
+        indices = np.empty(count, dtype=np.int64)
+        header = self.header_size
+        records = np.empty((count, self.record_size), dtype=np.uint8)
+        for block in np.unique(blocks).tolist():
+            rows = np.flatnonzero(blocks == block)
+            ids, payloads = self.block_sources[block].payload_batch(rows.size)
+            indices[rows] = ids
+            records[rows, header:] = payloads
+        fields = np.empty((count, header // 4), dtype=">u4")
+        fields[:, 0] = indices
+        fields[:, 1] = self._sequencer.next_serials(count)
+        fields[:, 2] = self._sequencer.group
+        if header == BLOCK_HEADER_SIZE:
+            fields[:, 3] = blocks
+        records[:, :header] = fields.view(np.uint8)
+        return blocks, indices, records
 
     def reweight(self, weights: Optional[List[float]]) -> None:
         """Swap the cross-block schedule for a weighted stripe, live.

@@ -180,3 +180,109 @@ def raptor_encode_pair(backend: str, k: int, payload_size: int,
                              plan=assets.encode_plan())
         slow = RaptorEncoder(assets.geometry, source)
     return fast.intermediates.tobytes(), slow.intermediates.tobytes()
+
+
+def memory_serve_per_packet(transport, session, *, count=None, extra=0,
+                            policy=None, feedback=None, report_every=128):
+    """The per-packet memory serve loop, kept as the chunked loop's oracle.
+
+    One ``packets()`` draw, one ``delivery_mask(1)`` per subscriber and
+    one scalar shadow ingest per emission, exactly as
+    :meth:`~repro.net.transport.memory.MemoryTransport.serve` ran before
+    it moved onto :func:`~repro.net.transport.chunked.serve_chunked`.
+    Returns ``(emitted, delivered, dropped)``.
+    """
+    from repro.errors import ReproError
+    from repro.net.transport.base import EMISSION_LIMIT_FACTOR
+    from repro.protocol.feedback import FeedbackReport, report_from_client
+    from repro.transfer.client import TransferClient
+
+    manifest = session.manifest()
+    shadows = []
+    for sub in transport.subscriptions:
+        sub._manifest = manifest
+        shadows.append(TransferClient(session.codec, payload_size=None))
+    limit = (EMISSION_LIMIT_FACTOR * session.total_k
+             if count is None else count)
+    adaptive = policy is not None or feedback is not None
+    reweight = session.source.reweight
+    block_ks = session.codec.plan.block_ks
+    emitted = delivered = dropped = 0
+    extra_left = extra
+    for packet in session.packets(limit):
+        emitted += 1
+        record = None
+        for sub, shadow in zip(transport.subscriptions, shadows):
+            if bool(sub.channel.delivery_mask(1)[0]):
+                if record is None:
+                    record = packet.to_bytes()
+                sub._records.append(record)
+                delivered += 1
+                if not shadow.is_complete:
+                    shadow.receive_index(packet.block, packet.index)
+            else:
+                dropped += 1
+        if adaptive and emitted % max(1, report_every) == 0:
+            for i, (sub, shadow) in enumerate(
+                    zip(transport.subscriptions, shadows)):
+                report = FeedbackReport.decode(report_from_client(
+                    shadow, receiver_id=i,
+                    loss=sub.channel.observed_loss_rate,
+                    packets_used=shadow.total_received).encode())
+                if policy is not None:
+                    policy.observe(report, now=0.0)
+                if feedback is not None:
+                    feedback(report)
+            transport.drain_feedback(policy, feedback, now=0.0)
+            if policy is not None:
+                decision = policy.decide(block_ks, now=0.0)
+                if decision.weights:
+                    reweight(list(decision.weights))
+        if count is None and all(s.is_complete for s in shadows):
+            if extra_left <= 0:
+                break
+            extra_left -= 1
+    if count is None and not all(s.is_complete for s in shadows):
+        raise ReproError("channel too lossy")
+    return emitted, delivered, dropped
+
+
+def file_serve_per_packet(directory, session, *, loss=0.0, seed=None,
+                          count=None, extra=0):
+    """The per-packet file serve loop, kept as the chunked loop's oracle.
+
+    Writes ``stream.pkt`` one ``to_bytes()`` record per survivor of a
+    one-draw-per-packet channel, stopping ``extra`` survivors after a
+    structural shadow completes, as
+    :meth:`~repro.net.transport.file.FileTransport.serve` did before it
+    moved onto :func:`~repro.net.transport.chunked.serve_chunked`.
+    Returns ``(emitted, delivered, dropped)``.
+    """
+    import pathlib
+
+    from repro.errors import ReproError
+    from repro.net.channel import LossyChannel
+    from repro.net.loss import BernoulliLoss
+    from repro.net.transport.base import EMISSION_LIMIT_FACTOR
+    from repro.transfer.client import TransferClient
+
+    channel = LossyChannel(BernoulliLoss(loss), rng=seed)
+    shadow = TransferClient(session.codec, payload_size=None)
+    limit = (EMISSION_LIMIT_FACTOR * session.total_k
+             if count is None else count)
+    directory = pathlib.Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    survivors = 0
+    extra_left = extra
+    with open(directory / "stream.pkt", "wb") as stream:
+        for packet in channel.transmit(session.packets(limit)):
+            stream.write(packet.to_bytes())
+            survivors += 1
+            if count is None and shadow.receive_index(packet.block,
+                                                      packet.index):
+                if extra_left <= 0:
+                    break
+                extra_left -= 1
+    if count is None and not shadow.is_complete:
+        raise ReproError("channel too lossy")
+    return channel.sent, survivors, channel.sent - channel.delivered

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -664,3 +665,71 @@ class TestUdpAdaptive:
         assert report.feedback_frames > 0
         assert seen and seen[-1].complete
         assert policy.reports_seen == report.feedback_frames
+
+
+class TestLeadGate:
+    """The adaptive UDP sender's bounded lead over its receivers."""
+
+    def _gate(self):
+        from repro.net.transport.udp import _LeadGate
+
+        return _LeadGate()
+
+    def test_waits_for_a_first_report_then_gives_up(self):
+        from repro.net.transport.udp import _LEAD_PATIENCE, _MAX_LEAD
+
+        gate = self._gate()
+        assert not gate.holds(_MAX_LEAD, now=0.0)
+        assert gate.holds(_MAX_LEAD + 1, now=0.0)
+        # Nobody ever reports: after the patience the serve is open loop.
+        assert not gate.holds(_MAX_LEAD + 1, now=_LEAD_PATIENCE + 0.1)
+
+    def test_lead_is_measured_from_loss_adjusted_packets_used(self):
+        from repro.net.transport.udp import _MAX_LEAD
+
+        gate = self._gate()
+        gate.observe(FeedbackReport(receiver_id=1, loss=0.5,
+                                    packets_used=100), now=0.0)
+        # 100 used at 50% loss: the receiver has read ~200 emissions.
+        assert not gate.holds(200 + _MAX_LEAD, now=0.1)
+        assert gate.holds(200 + _MAX_LEAD + 2, now=0.1)
+
+    def test_slowest_live_incomplete_receiver_sets_the_pace(self):
+        from repro.net.transport.udp import _LEAD_PATIENCE, _MAX_LEAD
+
+        gate = self._gate()
+        gate.observe(FeedbackReport(receiver_id=1, packets_used=50),
+                     now=0.0)
+        gate.observe(FeedbackReport(receiver_id=2, packets_used=900),
+                     now=0.5)
+        assert gate.holds(50 + _MAX_LEAD + 1, now=0.6)
+        # Receiver 1 finishes: receiver 2 is the only one left.
+        gate.observe(FeedbackReport(receiver_id=1, packets_used=60,
+                                    complete=True), now=0.7)
+        assert not gate.holds(900 + _MAX_LEAD, now=0.8)
+        # Receiver 2 falls silent: the gate opens.
+        assert not gate.holds(10 ** 6, now=0.5 + _LEAD_PATIENCE + 0.1)
+
+
+@needs_udp
+@pytest.mark.skipif(not is_vectorized(),
+                    reason="wall-clock economy claim, as above")
+def test_slow_receiver_does_not_let_the_adaptive_sender_run_away(
+        monkeypatch):
+    """A receiver that spends 0.15 s on every ingest batch still stops
+    the adaptive sender within the open-loop budget: the sender waits
+    for its reports instead of spraying at pace into the kernel queue."""
+    ingest = api.ReceiverSession.receive_records
+
+    def slow(self, records):
+        time.sleep(0.15)
+        return ingest(self, records)
+
+    monkeypatch.setattr(api.ReceiverSession, "receive_records", slow)
+    data = _random_bytes(1_100_000, seed=37)
+    bursty = GilbertElliottLoss.from_loss_and_burst(0.2, 8.0)
+    receiver, report, session = TestUdpAdaptive()._run(
+        data, policy=AdaptivePolicy(nominal_loss=0.2), report=64,
+        pace=25_000, loss_model=bursty)
+    assert receiver.data() == data
+    assert report.emitted < int(session.total_k * 1.6 / (1.0 - 0.2))

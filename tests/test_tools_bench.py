@@ -278,3 +278,39 @@ class TestAgainstCommittedBaselines:
             pytest.skip("no committed benchmark summaries")
         assert check_bench.main(["--baseline-dir", str(root),
                                  "--current-dir", str(root)]) == 0
+
+
+class TestBenchRecorder:
+    """benchmarks/_results.py: a flush must not wipe other cases' rows."""
+
+    def _results_module(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "bench_results_under_test",
+            pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+            / "_results.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.REPO_ROOT = tmp_path
+        return module
+
+    def test_flush_merges_rows_by_case(self, tmp_path):
+        results = self._results_module(tmp_path)
+        path = tmp_path / "BENCH_t.json"
+        path.write_text(json.dumps({"results": [
+            {"case": "a", "x": 1}, {"case": "b", "x": 2}]}))
+        recorder = results.BenchRecorder("BENCH_t.json")
+        recorder.record("c", x=3)
+        recorder.record("b", x=20)
+        recorder.flush()
+        assert json.loads(path.read_text())["results"] == [
+            {"case": "a", "x": 1}, {"case": "b", "x": 20},
+            {"case": "c", "x": 3}]
+
+    def test_flush_creates_a_missing_file(self, tmp_path):
+        results = self._results_module(tmp_path)
+        recorder = results.BenchRecorder("BENCH_new.json")
+        recorder.record("only", y=1.5)
+        results.flush_all()
+        assert json.loads((tmp_path / "BENCH_new.json").read_text()) == {
+            "results": [{"case": "only", "y": 1.5}]}
+        assert (tmp_path / results.RUNINFO_NAME).exists()
