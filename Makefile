@@ -22,16 +22,19 @@ test:
 test-reference:
 	REPRO_CODEC_BACKEND=reference $(PYTHON) -m pytest -x -q
 
-# Line coverage of the codec core (src/repro/codes + src/repro/gf),
+# Line coverage of the codec core (src/repro/codes + src/repro/gf) and
+# the decode intake above it (src/repro/fountain + src/repro/transfer),
 # accumulated across both backends so reference-only and
 # vectorized-only branches both count.  Skips gracefully when
 # pytest-cov is not installed (CI installs it and runs this for real).
+COV_PACKAGES = --cov=repro.codes --cov=repro.gf --cov=repro.fountain \
+	--cov=repro.transfer
+
 coverage:
 	@if $(PYTHON) -c "import pytest_cov" >/dev/null 2>&1; then \
-		$(PYTHON) -m pytest -q --cov=repro.codes --cov=repro.gf \
-			--cov-report= ; \
+		$(PYTHON) -m pytest -q $(COV_PACKAGES) --cov-report= ; \
 		REPRO_CODEC_BACKEND=reference $(PYTHON) -m pytest -q \
-			--cov=repro.codes --cov=repro.gf --cov-append \
+			$(COV_PACKAGES) --cov-append \
 			--cov-report=term-missing:skip-covered ; \
 	else \
 		echo "pytest-cov not installed; skipping coverage" \

@@ -384,7 +384,7 @@ class ReceiverSession:
         used = self.client.receive_batch(blocks, ids, payloads)
         self.packets_used += used
         if serials is not None:
-            self.loss_estimator.observe(serials[:used].tolist())
+            self.loss_estimator.observe(serials[:used])
         return self.client.is_complete
 
     def receive_stream_bytes(self, raw: bytes) -> bool:

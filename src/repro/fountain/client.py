@@ -26,7 +26,7 @@ that the stream has no end.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -80,6 +80,11 @@ class FountainClient:
         self._next_attempt = int(np.ceil((1 + statistical_margin) * code.k))
         self._decode_attempts = 0
         self._decoder_calls = 0
+        # Staged intake (incremental mode): arrivals since the decoder's
+        # last call, held until they could complete the block.
+        self._held = 0
+        self._held_ids: Optional[np.ndarray] = None
+        self._held_payloads: Optional[np.ndarray] = None
         if mode is ClientMode.INCREMENTAL:
             self._decoder = incremental_decoder(code,
                                                 payload_size=payload_size)
@@ -103,6 +108,7 @@ class FountainClient:
         """Ingest by raw encoding index (simulation fast path)."""
         if self._complete:
             return True
+        self.flush()
         self.total_received += 1
         if index not in self._seen:
             self._seen[index] = payload if self._retain_payloads else None
@@ -129,10 +135,18 @@ class FountainClient:
         Matches the sequential semantics exactly: packets arriving after
         completion are neither counted nor decoded, and the reception
         counters at the moment of completion equal what one-at-a-time
-        feeding would have produced.  The guarantee rests on
-        :attr:`min_additional` — a provable lower bound on the arrivals
-        still needed — so a chunk of that size can only complete on its
-        *last* packet, exactly where sequential feeding would stop.
+        feeding would have produced.
+
+        Incremental mode stages intake.  Arrivals count toward
+        :attr:`total_received` at once but are held back from the
+        decoder until the held rows number the decoder's lower bound
+        on the arrivals it still needs (``k`` minus the distinct ids
+        seen, or the decoder's tighter bound).  The block cannot
+        complete before that row, so the decoder takes exactly that
+        many rows in one call and can only complete on the last of
+        them, where sequential feeding would stop.  Small drains spread
+        over many blocks therefore still reach each decoder as one
+        large batch.
 
         Statistical mode keeps the per-packet loop (its decode-attempt
         schedule is defined per arrival and the work per packet is a set
@@ -146,36 +160,92 @@ class FountainClient:
                     int(index), None if payloads is None else payloads[row])
             return self._complete
         indices = np.asarray(indices, dtype=np.int64)
+        total = indices.size
+        self.total_received += total
         pos = 0
-        while pos < indices.size and not self._complete:
-            take = min(self.min_additional, indices.size - pos)
-            if take <= 1:
-                # Single-packet steps keep the scalar ingest path (one
-                # neighbour derivation, not a batch call for one row).
-                self.receive_index(
-                    int(indices[pos]),
-                    None if payloads is None else payloads[pos])
-                pos += 1
-                continue
-            chunk = indices[pos:pos + take]
-            self.total_received += take
-            rows = []
-            for row, index in enumerate(chunk.tolist()):
-                if index not in self._seen:
-                    self._seen[index] = (
-                        payloads[pos + row] if self._retain_payloads
-                        and payloads is not None else None)
-                    rows.append(row)
-            if rows:
-                fresh = chunk[rows]
-                fresh_payloads = (None if payloads is None
-                                  else payloads[pos:pos + take][rows])
-                self._decoder_calls += 1
-                self._decoder.add_packets(fresh, fresh_payloads)
-                if self._decoder.is_complete:
-                    self._complete = True
-            pos += take
+        while not self._complete:
+            need = self._bound() - self._held
+            if total - pos < need:
+                if pos < total:
+                    self._stage(indices[pos:], None if payloads is None
+                                else payloads[pos:])
+                break
+            end = pos + need
+            ids = indices[pos:end]
+            rows = None if payloads is None else payloads[pos:end]
+            if self._held:
+                self._stage(ids, rows)
+                ids, rows = self._take_held()
+            self._ingest(ids, rows)
+            pos = end
+        if self._complete:
+            # Packets after the completing one were never received.
+            self.total_received -= total - pos
         return self._complete
+
+    def flush(self) -> None:
+        """Hand the held rows to the decoder now.
+
+        They number fewer than the bound, so they cannot complete the
+        block; afterwards :attr:`min_additional` is the tightest bound
+        the decoder can prove.
+        """
+        if self._held:
+            self._ingest(*self._take_held())
+
+    def _bound(self) -> int:
+        """Arrivals the decoder needs at least, counted from its last call."""
+        bound = self.code.k - len(self._seen)
+        if self._decoder is not None:
+            bound = max(bound, getattr(
+                self._decoder, "min_additional_packets", 0))
+        return max(1, bound)
+
+    def _stage(self, ids: np.ndarray, rows: Optional[np.ndarray]) -> None:
+        """Copy arrivals into the held buffer (sized to the bound)."""
+        if self._held_ids is None:
+            size = self._bound()
+            self._held_ids = np.empty(size, dtype=np.int64)
+            if rows is not None:
+                self._held_payloads = np.empty(
+                    (size,) + rows.shape[1:], dtype=rows.dtype)
+        end = self._held + ids.size
+        self._held_ids[self._held:end] = ids
+        if rows is not None:
+            self._held_payloads[self._held:end] = rows
+        self._held = end
+
+    def _take_held(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Hand back the held rows and empty the buffer."""
+        held = self._held
+        ids = self._held_ids[:held]
+        rows = (None if self._held_payloads is None
+                else self._held_payloads[:held])
+        self._held, self._held_ids, self._held_payloads = 0, None, None
+        return ids, rows
+
+    def _ingest(self, ids: np.ndarray, rows: Optional[np.ndarray]) -> None:
+        """Give the decoder the rows whose ids it has not seen."""
+        fresh = []
+        for row, index in enumerate(ids.tolist()):
+            if index not in self._seen:
+                self._seen[index] = (rows[row] if self._retain_payloads
+                                     and rows is not None else None)
+                fresh.append(row)
+        if not fresh:
+            return
+        self._decoder_calls += 1
+        if len(fresh) == 1:
+            # One new id keeps the scalar ingest path (one neighbour
+            # derivation, not a batch call for one row).
+            row = fresh[0]
+            self._decoder.add_packet(
+                int(ids[row]), None if rows is None else rows[row])
+        else:
+            self._decoder.add_packets(
+                ids[fresh], None if rows is None else rows[fresh])
+        if self._decoder.is_complete:
+            self._complete = True
 
     # -- results ---------------------------------------------------------------
 
@@ -185,7 +255,11 @@ class FountainClient:
 
     @property
     def distinct_received(self) -> int:
-        return len(self._seen)
+        distinct = len(self._seen)
+        if self._held:
+            held = set(self._held_ids[:self._held].tolist())
+            distinct += len(held.difference(self._seen))
+        return distinct
 
     @property
     def min_additional(self) -> int:
@@ -193,19 +267,16 @@ class FountainClient:
 
         Always at least ``k`` minus the distinct packets seen (no code
         completes below ``k`` distinct); decoders that can prove a
-        tighter bound (the LT decoder's rank deficit) raise it.  Batch
-        feeders — :meth:`receive_many` and the simulation drivers — cap
-        chunks at this value so no chunk can complete before its final
-        packet, which is what keeps batched reception counters equal to
-        sequential ones.
+        tighter bound (the LT decoder's rank deficit) raise it.  Rows
+        held back by staged intake have already arrived, so they come
+        off the bound.  Batch feeders — the serve loops' shadows and
+        the simulation drivers — cap chunks at this value so no chunk
+        can complete before its final packet, which is what keeps
+        batched reception counters equal to sequential ones.
         """
         if self._complete:
             return 0
-        bound = self.code.k - len(self._seen)
-        if self._decoder is not None:
-            bound = max(bound, getattr(
-                self._decoder, "min_additional_packets", 0))
-        return max(1, bound)
+        return self._bound() - self._held
 
     @property
     def decoder_calls(self) -> int:

@@ -588,9 +588,9 @@ class UdpTransport(Transport):
         With ``policy=`` the endpoint listens for ``FRAME_FEEDBACK``
         replies, folds every report into the policy, and every
         ``adapt_every`` emissions applies its decision: the token
-        bucket retargets to ``pace * rate_scale``, lagging blocks get
-        heavier schedule weight (via the source's ``reweight``), and
-        the serve stops as soon as every known receiver reports a
+        bucket retargets to ``pace * rate_scale`` and lagging blocks get
+        heavier schedule weight (via the source's ``reweight``).  The
+        serve stops as soon as every known receiver reports a
         complete decode — the closed-loop path that lets an adaptive
         sender quit while an open-loop one is still provisioning for
         the worst case.  An adaptive serve with no explicit bound is
@@ -627,10 +627,12 @@ class UdpTransport(Transport):
         deadline = None if duration is None else start + float(duration)
         emitted = delivered = dropped = manifest_frames = 0
         feedback_frames = 0
+        # A complete-report arrived since the last completeness check.
+        heard_complete = False
         gate = _LeadGate() if adaptive else None
 
         def hear() -> None:
-            nonlocal feedback_frames
+            nonlocal feedback_frames, heard_complete
             if not protocol.feedback or not (adaptive
                                              or feedback is not None):
                 return
@@ -643,6 +645,7 @@ class UdpTransport(Transport):
                     protocol.malformed += 1
                     continue
                 feedback_frames += 1
+                heard_complete = heard_complete or report.complete
                 if policy is not None:
                     policy.observe(report, now=now)
                 if gate is not None:
@@ -671,6 +674,12 @@ class UdpTransport(Transport):
                     # polls the socket and feedback frames get read.
                     await asyncio.sleep(0)
                 hear()
+                if adaptive and heard_complete:
+                    # A complete-report may finish the population: stop
+                    # now, not at the next cadence boundary.
+                    heard_complete = False
+                    if policy.all_complete(time.perf_counter() - start):
+                        break
                 if adaptive and emitted and emitted % adapt_every == 0:
                     now = time.perf_counter() - start
                     decision = policy.decide(block_ks, now=now)

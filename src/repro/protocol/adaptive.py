@@ -172,6 +172,21 @@ class AdaptivePolicy:
                     deficits[block] += deficit * report.receivers
         return deficits
 
+    def _population(self, now: float) -> Tuple[int, int]:
+        """Receivers the fresh reports speak for: (decoding, complete)."""
+        fresh = self._fresh(now)
+        return (sum(r.receivers for r in fresh if not r.complete),
+                sum(r.receivers for r in fresh if r.complete))
+
+    def all_complete(self, now: float = 0.0) -> bool:
+        """Every known receiver reports a finished decode.
+
+        The same test as :attr:`PolicyDecision.all_complete`, but
+        without a policy step: the rate smoothing does not advance.
+        """
+        active, complete = self._population(now)
+        return active == 0 and complete > 0
+
     # -- levers ----------------------------------------------------------------
 
     def rate_scale(self, now: float = 0.0) -> float:
@@ -248,9 +263,7 @@ class AdaptivePolicy:
     def decide(self, block_ks: Sequence[int],
                now: float = 0.0) -> PolicyDecision:
         """One policy step: every lever's value from the current state."""
-        fresh = self._fresh(now)
-        active = sum(r.receivers for r in fresh if not r.complete)
-        complete = sum(r.receivers for r in fresh if r.complete)
+        active, complete = self._population(now)
         deficits = self.block_deficits(len(block_ks), now)
         weights = (tuple(self.schedule_weights(block_ks, now))
                    if any(d > 0 for d in deficits) else ())

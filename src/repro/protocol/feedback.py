@@ -32,14 +32,17 @@ strictly monotone across a striped stream (one shared
 :class:`~repro.fountain.packets.HeaderSequencer`), so the gap between
 the serial span a receiver observed and the records it actually got *is*
 the channel's loss, no extra wire bytes needed.  :class:`LossEstimator`
-folds per-batch gap measurements into an EWMA.
+folds the received serials into an exponentially forgetting ratio.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ProtocolError
 
@@ -156,14 +159,16 @@ class LossEstimator:
     """Serial-gap loss estimation with exponential forgetting.
 
     Transmission serials are consecutive across the whole striped
-    stream, so between two observations the span of serials that went
-    past is ``newest - last_seen`` while the records that arrived are
-    countable — the shortfall is loss.  The estimate is a *ratio of
-    decayed sums* (received over span, each forgotten at ``alpha`` per
-    serial), not an average of per-batch ratios: ratio-of-ratios is
-    badly biased when batches are small (a one-packet batch is either
-    0% or ~100% loss), while the ratio of sums is exact under any
-    batching of the same stream.
+    stream, so every serial slot since the first observation either
+    arrived or was lost.  The estimate is a *ratio of decayed sums*:
+    received slots over all slots, each weighted ``(1 - alpha) ** age``
+    where ``age`` is its distance from the newest serial seen.  It is
+    not an average of per-batch ratios: ratio-of-ratios is badly biased
+    when batches are small (a one-packet batch is either 0% or ~100%
+    loss).  Because each slot's weight depends only on its serial, an
+    in-order stream gives the same estimate under any batching.
+    Stragglers older than the newest serial already seen are ignored
+    (their slot was counted as lost).
     """
 
     def __init__(self, alpha: float = 0.01):
@@ -184,21 +189,26 @@ class LossEstimator:
 
     def observe(self, serials: Sequence[int]) -> float:
         """Fold one batch of received serials into the estimate."""
-        if len(serials) == 0:
+        serials = np.asarray(serials, dtype=np.int64)
+        if serials.size == 0:
             return self.loss
-        newest = max(serials)
+        newest = int(serials.max())
         if self._last_serial is None:
-            span = newest - min(serials) + 1
-            got = len(serials)
+            span = newest - int(serials.min()) + 1
         else:
             span = newest - self._last_serial
-            got = sum(1 for s in serials if s > self._last_serial)
             if span <= 0:        # reordered stragglers only
                 return self.loss
+            serials = serials[serials > self._last_serial]
         self._last_serial = newest
-        decay = (1.0 - self.alpha) ** span
-        self._span_acc = self._span_acc * decay + span
-        self._got_acc = self._got_acc * decay + got
+        # Slots newest - span + 1 .. newest, weighted keep ** age: a
+        # geometric sum for all of them, one weight per received one.
+        log_keep = math.log1p(-self.alpha)
+        decay = math.exp(log_keep * span)
+        self._span_acc = (self._span_acc * decay
+                          - math.expm1(log_keep * span) / self.alpha)
+        self._got_acc = (self._got_acc * decay + float(
+            np.exp(log_keep * (newest - serials)).sum()))
         return self.loss
 
 
@@ -210,10 +220,13 @@ def report_from_client(client: Any, *, receiver_id: int = 0,
     ``client`` is anything with the
     :class:`~repro.transfer.client.TransferClient` progress surface
     (``progress``, ``is_complete``, ``incomplete_blocks``,
-    ``block_min_additional``, ``num_blocks``) — the transfer client
-    itself, or the per-block :class:`~repro.fountain.client.
-    FountainClient` wrapped in one.
+    ``block_min_additional``, ``num_blocks``, ``flush``) — the transfer
+    client itself, or the per-block :class:`~repro.fountain.client.
+    FountainClient` wrapped in one.  The client first hands the rows
+    its staged intake holds to its decoders, so the deficits are the
+    bounds one-packet-at-a-time feeding would report.
     """
+    client.flush()
     deficits = [(int(b), min(0xFFFF, int(client.block_min_additional(b))))
                 for b in client.incomplete_blocks
                 if int(b) <= 0xFFFF]

@@ -44,53 +44,6 @@ _LOSS_STREAM = 0x1055
 #: structural-mode chunk size for vectorised loss draws.
 _CHUNK = 4096
 
-#: synthesis quantum: payloads generated per block-source call in the
-#: batched driver.  Generation is deterministic and rng-free, so
-#: synthesising ahead of emission is exact; bigger quanta amortise the
-#: per-call neighbour-derivation cost of rateless sources.  Sized so a
-#: block's typical emission count (k plus loss and reception overhead)
-#: fits in one generation call.
-_FEED_QUANTUM = 192
-
-
-class _BlockFeed:
-    """Buffered payload stream over one block source.
-
-    Hands out ``(ids, payloads)`` in exact emission order while
-    generating from the underlying source in :data:`_FEED_QUANTUM`
-    batches.  A rateless source's look-ahead is capped at its remaining
-    id range, so exhaustion raises on the same emission as sequential
-    feeding would.
-    """
-
-    __slots__ = ("source", "ids", "payloads", "pos")
-
-    def __init__(self, source):
-        self.source = source
-        self.ids: Optional[np.ndarray] = None
-        self.payloads: Optional[np.ndarray] = None
-        self.pos = 0
-
-    def take(self, count: int):
-        buffered = 0 if self.ids is None else len(self.ids) - self.pos
-        if buffered >= count:
-            pos = self.pos
-            self.pos = pos + count
-            return (self.ids[pos:pos + count],
-                    self.payloads[pos:pos + count])
-        want = _FEED_QUANTUM
-        remaining = getattr(self.source, "ids_remaining", None)
-        if remaining is not None:
-            want = min(want, remaining)
-        want = max(want, count - buffered)
-        ids, payloads = self.source.payload_batch(want)
-        if buffered:
-            ids = np.concatenate([self.ids[self.pos:], ids])
-            payloads = np.concatenate([self.payloads[self.pos:], payloads])
-        self.ids, self.payloads, self.pos = ids, payloads, count
-        return ids[:count], payloads[:count]
-
-
 @dataclass(frozen=True)
 class TransferRunResult:
     """Outcome of one simulated block-segmented download."""
@@ -140,18 +93,15 @@ def _drive_payload_batched(plan: BlockPlan,
     emission in emission order, every emitted slot advances its block
     source (dropped or not), and chunks are capped at the provable
     lower bound on packets the transfer still needs
-    (:meth:`~repro.transfer.client.TransferClient.block_min_additional`
-    summed over incomplete blocks) — the transfer cannot complete
-    before a chunk's final slot, so reception counters at completion
-    match the sequential run exactly.
+    (:attr:`~repro.transfer.client.TransferClient.packet_deficit`) —
+    the transfer cannot complete before a chunk's final slot, so
+    reception counters at completion match the sequential run exactly.
     """
     slots = make_schedule(schedule, plan.block_ks)
-    feeds = [_BlockFeed(source) for source in server.block_sources]
+    sources = server.block_sources
     sent = 0
     while not client.is_complete and sent < limit:
-        deficit = sum(client.block_min_additional(b)
-                      for b in client.incomplete_blocks)
-        chunk = min(deficit, limit - sent, _CHUNK)
+        chunk = min(client.packet_deficit, limit - sent, _CHUNK)
         blocks = np.fromiter(islice(slots, chunk), dtype=np.int64,
                              count=chunk)
         mask = channel.delivery_mask(chunk)
@@ -160,7 +110,7 @@ def _drive_payload_batched(plan: BlockPlan,
             sel = blocks == b
             # Every emitted slot advances the block's stream position,
             # delivered or not; only survivors reach the client.
-            ids, pays = feeds[int(b)].take(int(sel.sum()))
+            ids, pays = sources[int(b)].payload_batch(int(sel.sum()))
             delivered = mask[sel]
             if delivered.any():
                 client.receive_many(int(b), ids[delivered], pays[delivered])

@@ -117,9 +117,10 @@ class TransferClient:
         """Lower bound on further packets ``block`` needs to complete.
 
         Zero once the block has decoded; before its first packet the
-        bound is the block's ``k``.  Batch drivers sum this over the
-        incomplete blocks to size delivery chunks that provably cannot
-        complete the transfer before their final packet.
+        bound is the block's ``k``.  Rows the block's client holds back
+        (staged intake) have already arrived, so they come off the
+        bound; after :meth:`flush` it is the tightest bound the decoder
+        can prove, the value one-packet-at-a-time feeding would give.
         """
         if block not in self._incomplete:
             return 0
@@ -128,14 +129,25 @@ class TransferClient:
             return self.codec.plan.spec(block).k
         return client.min_additional
 
+    def flush(self) -> None:
+        """Hand every block's held rows to its decoder now.
+
+        Held rows number fewer than their block's bound, so no block
+        completes here; the counters do not move.
+        """
+        for client in self._clients:
+            if client is not None:
+                client.flush()
+
     @property
     def packet_deficit(self) -> int:
         """Lower bound on further packets the whole transfer needs.
 
         :meth:`block_min_additional` summed over the incomplete blocks
         (zero once complete): no run of fewer deliveries can complete
-        the transfer, so a batch of at most this many packets can only
-        complete it on its final packet.
+        the transfer, so batch drivers size their chunks with this — a
+        batch of at most this many packets can only complete the
+        transfer on its final packet.
         """
         return sum(self.block_min_additional(b) for b in self._incomplete)
 

@@ -125,6 +125,9 @@ class TestFeedbackFrame:
             def block_min_additional(self, block):
                 return {0: 3, 2: 9, 3: 1}[block]
 
+            def flush(self):
+                pass
+
         report = report_from_client(FakeClient(), receiver_id=7, loss=0.2)
         assert report.lagging == ((2, 9), (0, 3), (3, 1))
         assert report.blocks_total == 4
@@ -158,6 +161,22 @@ class TestLossEstimator:
         for start in range(0, len(serials), 7):
             small.observe(serials[start:start + 7].tolist())
         assert abs(small.loss - big.loss) < 0.01
+
+    def test_forgetting_is_batch_invariant(self):
+        """Every serial slot decays by its distance from the newest
+        serial, so one call, 7-record calls and single-serial calls of
+        the same in-order stream agree, forgetting included."""
+        serials = self._stream(0.3, n=2000)
+        whole, sevens, singles = (LossEstimator(), LossEstimator(),
+                                  LossEstimator())
+        whole.observe(serials.tolist())
+        for start in range(0, len(serials), 7):
+            sevens.observe(serials[start:start + 7].tolist())
+        for serial in serials.tolist():
+            singles.observe([serial])
+        assert 0.2 < whole.loss < 0.45
+        assert sevens.loss == pytest.approx(whole.loss, abs=1e-9)
+        assert singles.loss == pytest.approx(whole.loss, abs=1e-9)
 
     def test_reordered_stragglers_ignored(self):
         est = LossEstimator()
@@ -236,6 +255,20 @@ class TestAdaptivePolicy:
         assert policy.loss_estimate() == 0.0
         decision = policy.decide([4, 4])
         assert decision.all_complete
+
+    def test_completeness_check_takes_no_policy_step(self):
+        """``all_complete`` answers what ``decide`` would, but leaves
+        the rate smoothing where the last policy step put it."""
+        policy = AdaptivePolicy(nominal_loss=0.1, rate_alpha=0.5)
+        self._feed(policy, [0.5])
+        assert not policy.all_complete()
+        assert not policy.decide([4]).all_complete
+        scale = policy._rate_scale
+        policy.observe(FeedbackReport(receiver_id=0, loss=0.5,
+                                      complete=True))
+        assert policy.all_complete()
+        assert policy._rate_scale == scale
+        assert policy.decide([4]).all_complete
 
     def test_block_shares_blend(self):
         policy = AdaptivePolicy(schedule_gain=0.5)
@@ -665,6 +698,57 @@ class TestUdpAdaptive:
         assert report.feedback_frames > 0
         assert seen and seen[-1].complete
         assert policy.reports_seen == report.feedback_frames
+
+    def test_complete_report_stops_the_serve_at_once(self):
+        """The serve steps its policy as soon as it hears a
+        complete-report, so it stops at the emission where the report
+        arrived, not at the next ``adapt_every`` boundary."""
+        data = _random_bytes(150_000, seed=47)
+        session = api.SenderSession(data, code="lt", seed=53,
+                                    block_size=64 * 1024,
+                                    file_name="blob")
+        drawn = [0]
+        packets = session.packets
+
+        def counted(count=None):
+            for packet in packets(count):
+                drawn[0] += 1
+                yield packet
+
+        session.packets = counted
+        heard_at = []
+
+        def feedback(report):
+            if report.complete:
+                heard_at.append(drawn[0])
+
+        sub = UdpSubscription("127.0.0.1:0", timeout=20.0)
+        # Paced below the sender's speed: the bucket sleeps, so reports
+        # are heard between cadence boundaries.
+        transport = UdpTransport([sub.address], pace=3_000,
+                                 manifest_interval=32)
+        errors = []
+
+        def drink():
+            try:
+                receiver = api.ReceiverSession.from_subscription(
+                    sub, timeout=20.0, report=32)
+                sub.feed(receiver, timeout=20.0)
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        thread = threading.Thread(target=drink)
+        thread.start()
+        try:
+            report = session.serve(transport, policy=AdaptivePolicy(),
+                                   feedback=feedback, adapt_every=64)
+        finally:
+            thread.join(timeout=20.0)
+            sub.close()
+        assert not errors, errors
+        assert heard_at, "the receiver's complete-report never arrived"
+        # The packet drawn when the report was heard is not sent.
+        assert report.emitted == heard_at[0] - 1
 
 
 class TestLeadGate:
